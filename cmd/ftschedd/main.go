@@ -49,7 +49,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address; port 0 picks a free port")
 		addrFile     = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
 		workers      = fs.Int("workers", 0, "global engine-worker budget shared by all requests; 0 uses GOMAXPROCS")
-		cacheEntries = fs.Int("cache", 0, "response cache capacity in outcomes; 0 uses 4096, negative disables")
+		cacheEntries = fs.Int("cache", 0, "capacity of the response cache in outcomes and of the decoded-problem cache in problems; 0 uses 4096, negative disables both")
 		timeout      = fs.Duration("timeout", 0, "default per-request timeout, queue wait included; 0 uses 60s, negative disables")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
 		maxBody      = fs.Int64("max-body", 0, "request body cap in bytes; 0 uses 16 MiB")

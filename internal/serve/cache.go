@@ -1,31 +1,60 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/json"
 	"sync"
+
+	"ftsched/internal/sched"
 )
 
-// outcome is one computed response, cached and replayed byte-for-byte: the
-// default JSON envelope, the CLI-identical rendering (schedule kind only),
-// and the compact schedule document the certify and simulate endpoints
-// rebuild their Schedule from. Outcomes are immutable once published.
+// outcome is one computed response, cached and replayed byte-for-byte.
+// Outcomes are immutable once published, apart from the CLI rendering,
+// which is built at most once under cliOnce.
 type outcome struct {
 	// envelope is the default response body (indented JSON + newline).
 	envelope []byte
-	// cli is the ?format=cli body: for the schedule kind, the exact bytes
-	// the ftsched CLI prints with -format json. Nil for other kinds.
-	cli []byte
-	// schedJSON is the compact sched.Schedule encoding (schedule kind
-	// only), the substrate for certify/simulate reuse.
-	schedJSON []byte
+	// sch is the validated schedule (schedule kind only), with every
+	// memoized view built before publication, so certify and simulate read
+	// it concurrently without writing to it. Nil for other kinds.
+	sch *sched.Schedule
+
+	cliOnce sync.Once
+	cli     []byte
+	cliErr  error
 }
 
-// lruCache is a mutex-guarded LRU of response outcomes keyed by canonical
-// content hash. Only successful outcomes enter the cache; deterministic
-// failures (infeasible problems, missed deadlines) are cheap to recompute
-// and keeping them out makes cache poisoning through transient conditions
-// impossible.
-type lruCache struct {
+// cliBytes returns the ?format=cli body: the exact bytes the ftsched CLI
+// prints with -format json. Few requests ask for it, so it is rendered from
+// the kept schedule on first use rather than with every outcome.
+func (o *outcome) cliBytes() ([]byte, error) {
+	o.cliOnce.Do(func() {
+		compact, err := o.sch.MarshalJSON()
+		if err != nil {
+			o.cliErr = err
+			return
+		}
+		// The CLI contract: `ftsched -format json` prints the schedule
+		// document indented by two spaces plus a trailing newline. Keep in
+		// lockstep with cmd/ftsched.
+		var cli bytes.Buffer
+		if err := json.Indent(&cli, compact, "", "  "); err != nil {
+			o.cliErr = err
+			return
+		}
+		cli.WriteByte('\n')
+		o.cli = cli.Bytes()
+	})
+	return o.cli, o.cliErr
+}
+
+// lruCache is a mutex-guarded LRU keyed by content hash. The server keeps
+// two: response outcomes, and decoded problems. Only successes enter either
+// cache; deterministic failures (malformed documents, infeasible problems,
+// missed deadlines) are cheap to recompute and keeping them out makes cache
+// poisoning through transient conditions impossible.
+type lruCache[V any] struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used
@@ -33,32 +62,33 @@ type lruCache struct {
 }
 
 // lruEntry is one cache slot.
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	out *outcome
+	val V
 }
 
-// newLRUCache returns an empty cache holding at most cap outcomes; cap <= 0
+// newLRUCache returns an empty cache holding at most cap values; cap <= 0
 // disables caching (every Get misses, Put discards).
-func newLRUCache(cap int) *lruCache {
-	return &lruCache{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
+func newLRUCache[V any](cap int) *lruCache[V] {
+	return &lruCache[V]{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// Get returns the cached outcome for key, refreshing its recency.
-func (c *lruCache) Get(key string) (*outcome, bool) {
+// Get returns the cached value for key, refreshing its recency.
+func (c *lruCache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).out, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// Put inserts key -> out, evicting the least recently used entry beyond
+// Put inserts key -> val, evicting the least recently used entry beyond
 // capacity. It reports whether an eviction happened.
-func (c *lruCache) Put(key string, out *outcome) (evicted bool) {
+func (c *lruCache[V]) Put(key string, val V) (evicted bool) {
 	if c.cap <= 0 {
 		return false
 	}
@@ -66,22 +96,22 @@ func (c *lruCache) Put(key string, out *outcome) (evicted bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		// A concurrent leader may have published first; keep the existing
-		// outcome (both are byte-identical by the determinism contract).
+		// value (both are equal by the determinism contract).
 		c.order.MoveToFront(el)
 		return false
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry{key: key, out: out})
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	if c.order.Len() <= c.cap {
 		return false
 	}
 	oldest := c.order.Back()
 	c.order.Remove(oldest)
-	delete(c.entries, oldest.Value.(*lruEntry).key)
+	delete(c.entries, oldest.Value.(*lruEntry[V]).key)
 	return true
 }
 
-// Len returns the number of cached outcomes.
-func (c *lruCache) Len() int {
+// Len returns the number of cached values.
+func (c *lruCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLRUCacheEvictsOldest(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache[*outcome](2)
 	a, b, d := &outcome{}, &outcome{}, &outcome{}
 	if c.Put("a", a) {
 		t.Error("unexpected eviction on first insert")
@@ -37,7 +37,7 @@ func TestLRUCacheEvictsOldest(t *testing.T) {
 }
 
 func TestLRUCacheKeepsFirstPublisher(t *testing.T) {
-	c := newLRUCache(4)
+	c := newLRUCache[*outcome](4)
 	first, second := &outcome{}, &outcome{}
 	c.Put("k", first)
 	c.Put("k", second)
@@ -50,7 +50,7 @@ func TestLRUCacheKeepsFirstPublisher(t *testing.T) {
 }
 
 func TestLRUCacheDisabled(t *testing.T) {
-	c := newLRUCache(0)
+	c := newLRUCache[*outcome](0)
 	c.Put("k", &outcome{})
 	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache should never hit")

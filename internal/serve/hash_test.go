@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -223,5 +226,34 @@ func TestHashKindsDisjoint(t *testing.T) {
 	}
 	if simu2 == simu {
 		t.Error("scenario change did not change the simulate hash")
+	}
+}
+
+// TestHashGoldenV2 pins the hash field the server returns for the paper bus
+// example (FT1, K=1), one per kind, under canonical form v2. A change here
+// moves every cache key and every response's hash field: bump
+// canonicalVersion with it and say so in the changelog.
+func TestHashGoldenV2(t *testing.T) {
+	want := map[string]string{
+		"/v1/schedule": "bdb5b1075c49c80643705311695b51ad64e33810749fc571cf78256077bcd48e",
+		"/v1/certify":  "ca37d9e584732b1c2124d2ce65f364340ec33f6b950259ced5be8471dbbb2e59",
+		"/v1/simulate": "aa04676d9a6515dd45b82637946582ec34719d51114e2e9a0eeca04d0dc4f2b5",
+	}
+	h := New(Config{}).Handler()
+	for path, hash := range want {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(busRequestJSON(t, nil))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		var env struct {
+			Hash string `json:"hash"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Hash != hash {
+			t.Errorf("%s: hash %s, want %s", path, env.Hash, hash)
+		}
 	}
 }

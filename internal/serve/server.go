@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftsched/internal/arch"
 	"ftsched/internal/certify"
 	"ftsched/internal/core"
 	"ftsched/internal/obs"
@@ -27,8 +28,8 @@ type Config struct {
 	// Workers is the global engine-worker budget shared by every in-flight
 	// request; per-request budgets clamp to it. 0 uses GOMAXPROCS.
 	Workers int
-	// CacheEntries bounds the response LRU; < 0 disables caching, 0 uses
-	// 4096.
+	// CacheEntries bounds the response LRU and, separately, the LRU of
+	// decoded problems; < 0 disables both caches, 0 uses 4096.
 	CacheEntries int
 	// DefaultTimeout caps each request's wall-clock time, queue wait
 	// included; per-request timeout_ms clamps to it. 0 uses 60s; < 0
@@ -51,7 +52,8 @@ type Server struct {
 	cfg      Config
 	sink     *obs.Sink
 	sem      *semaphore
-	cache    *lruCache
+	cache    *lruCache[*outcome]
+	problems *lruCache[*models]
 	flights  *flightGroup
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -70,6 +72,8 @@ type serverInstruments struct {
 	runSched    *obs.Counter // scheduling engine runs
 	runCertify  *obs.Counter // certification engine runs
 	runSimulate *obs.Counter // simulation engine runs
+	probHits    *obs.Counter // requests whose problem was already decoded
+	probMisses  *obs.Counter // requests that decoded their problem
 }
 
 func (in *serverInstruments) resolve(s *obs.Sink) {
@@ -83,6 +87,8 @@ func (in *serverInstruments) resolve(s *obs.Sink) {
 	in.runSched = s.Counter("serve.engine.schedule")
 	in.runCertify = s.Counter("serve.engine.certify")
 	in.runSimulate = s.Counter("serve.engine.simulate")
+	in.probHits = s.Counter("serve.problems.hits")
+	in.probMisses = s.Counter("serve.problems.misses")
 }
 
 // New returns a ready Server.
@@ -94,7 +100,7 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries == 0:
 		cfg.CacheEntries = 4096
 	case cfg.CacheEntries < 0:
-		cfg.CacheEntries = 0 // newLRUCache(0) disables caching
+		cfg.CacheEntries = 0 // newLRUCache(0) disables both caches
 	}
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = 60 * time.Second
@@ -108,12 +114,13 @@ func New(cfg Config) *Server {
 		cfg.Sink = obs.NewSink()
 	}
 	s := &Server{
-		cfg:     cfg,
-		sink:    cfg.Sink,
-		sem:     newSemaphore(int64(cfg.Workers)),
-		cache:   newLRUCache(cfg.CacheEntries),
-		flights: newFlightGroup(),
-		mux:     http.NewServeMux(),
+		cfg:      cfg,
+		sink:     cfg.Sink,
+		sem:      newSemaphore(int64(cfg.Workers)),
+		cache:    newLRUCache[*outcome](cfg.CacheEntries),
+		problems: newLRUCache[*models](cfg.CacheEntries),
+		flights:  newFlightGroup(),
+		mux:      http.NewServeMux(),
 	}
 	s.ins.resolve(s.sink)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -221,7 +228,11 @@ func (s *Server) single(h kindHandler, allowCLI bool) http.HandlerFunc {
 		}
 		resp := out.envelope
 		if format == "cli" {
-			resp = out.cli
+			var err error
+			if resp, err = out.cliBytes(); err != nil {
+				s.writeError(w, engineError(err))
+				return
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Ftsched-Cache", cacheState)
@@ -389,6 +400,28 @@ func cancelFlag(ctx context.Context) (*atomic.Bool, func()) {
 	return flag, func() { close(done) }
 }
 
+// problemFor validates the request and returns its decoded problem,
+// decoding the graph, arch, and spec documents only when no earlier request
+// carried the same bytes.
+func (s *Server) problemFor(r *ScheduleRequest) (*problem, error) {
+	h, err := r.heuristic()
+	if err != nil {
+		return nil, err
+	}
+	key := internKey(r)
+	if m, ok := s.problems.Get(key); ok {
+		s.ins.probHits.Inc()
+		return &problem{models: m, h: h}, nil
+	}
+	s.ins.probMisses.Inc()
+	m, err := r.decodeModels()
+	if err != nil {
+		return nil, err
+	}
+	s.problems.Put(key, m)
+	return &problem{models: m, h: h}, nil
+}
+
 // cachedOutcome is the shared serve pipeline: LRU lookup, then single-flight
 // computation, with a bounded retry when a follower inherited the leader's
 // cancellation but its own context is still live. It returns the outcome
@@ -437,7 +470,7 @@ func (s *Server) handleSchedule(ctx context.Context, body []byte, _ string) (*ou
 	if err := strictUnmarshal(body, &req); err != nil {
 		return nil, "", badRequest("schedule: %v", err)
 	}
-	p, err := req.decodeProblem()
+	p, err := s.problemFor(&req)
 	if err != nil {
 		return nil, "", badRequest("schedule: %v", err)
 	}
@@ -453,7 +486,7 @@ func (s *Server) handleSchedule(ctx context.Context, body []byte, _ string) (*ou
 }
 
 // computeSchedule runs the scheduling engine under the admission pool and
-// renders both response forms.
+// renders the response envelope.
 func (s *Server) computeSchedule(ctx context.Context, req *ScheduleRequest, p *problem, key string) (*outcome, error) {
 	// A dead context must fail deterministically even when the engine would
 	// outrun the cancellation watcher on a small problem.
@@ -486,7 +519,25 @@ func (s *Server) computeSchedule(ctx context.Context, req *ScheduleRequest, p *p
 	if err := res.Schedule.Validate(p.g, p.a, p.sp); err != nil {
 		return nil, fmt.Errorf("internal error, schedule failed validation: %w", err)
 	}
+	freezeViews(res.Schedule, p.a)
 	return renderSchedule(key, req, res)
+}
+
+// freezeViews builds every memoized view of sch that the renderers and the
+// certify and simulate engines read: the slot lists of every processor and
+// link of a, the sorted name lists, and the transfer grouping. Afterwards
+// every accessor they call is a pure read, so the published schedule is
+// shared by concurrent requests without a lock.
+func freezeViews(sch *sched.Schedule, a *arch.Architecture) {
+	for _, p := range a.ProcessorNames() {
+		sch.ProcSlots(p)
+	}
+	for _, l := range a.LinkNames() {
+		sch.LinkSlots(l)
+	}
+	sch.Procs()
+	sch.Links()
+	sch.Transfers()
 }
 
 // scheduleResponse is the default /v1/schedule envelope.
@@ -502,24 +553,16 @@ type scheduleResponse struct {
 	Schedule       json.RawMessage `json:"schedule"`
 }
 
-// renderSchedule builds the cached outcome: the JSON envelope, the
-// CLI-identical bytes, and the compact schedule document the certify and
-// simulate pipelines rebuild from. Rendering is pure formatting of a
-// deterministic engine result, so both forms are byte-deterministic.
+// renderSchedule builds the cached outcome: the JSON envelope plus the
+// frozen schedule itself, which certify and simulate reuse and the CLI
+// rendering is drawn from. Rendering is pure formatting of a deterministic
+// engine result, so every form is byte-deterministic.
 func renderSchedule(key string, req *ScheduleRequest, res *core.Result) (*outcome, error) {
 	compact, err := res.Schedule.MarshalJSON()
 	if err != nil {
 		return nil, err
 	}
-	// The CLI contract: `ftsched -format json` prints the schedule document
-	// indented by two spaces plus a trailing newline. Keep in lockstep with
-	// cmd/ftsched.
-	var cli bytes.Buffer
-	if err := json.Indent(&cli, compact, "", "  "); err != nil {
-		return nil, err
-	}
-	cli.WriteByte('\n')
-	env, err := json.MarshalIndent(scheduleResponse{
+	env, err := renderEnvelope(scheduleResponse{
 		Hash:           key,
 		Heuristic:      req.Heuristic,
 		K:              req.K,
@@ -529,19 +572,26 @@ func renderSchedule(key string, req *ScheduleRequest, res *core.Result) (*outcom
 		PassiveComms:   res.Schedule.NumPassiveComms(),
 		MinReplication: res.MinReplication,
 		Schedule:       compact,
-	}, "", "  ")
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &outcome{
-		envelope:  append(env, '\n'),
-		cli:       cli.Bytes(),
-		schedJSON: compact,
-	}, nil
+	return &outcome{envelope: env, sch: res.Schedule}, nil
+}
+
+// renderEnvelope renders a response envelope: indented JSON plus a
+// newline.
+func renderEnvelope(v any) ([]byte, error) {
+	env, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(env, '\n'), nil
 }
 
 // scheduleFor reuses the schedule pipeline (cache, single-flight, pool) to
-// obtain the problem's schedule, rebuilt from its cached compact encoding.
+// obtain the problem's schedule: the frozen one its outcome keeps, shared
+// read-only with every other request of the problem.
 func (s *Server) scheduleFor(ctx context.Context, req *ScheduleRequest, p *problem) (*sched.Schedule, *httpError) {
 	key, err := canonicalHash("schedule", req, p, nil)
 	if err != nil {
@@ -553,11 +603,7 @@ func (s *Server) scheduleFor(ctx context.Context, req *ScheduleRequest, p *probl
 	if herr != nil {
 		return nil, herr
 	}
-	sch := new(sched.Schedule)
-	if err := sch.UnmarshalJSON(out.schedJSON); err != nil {
-		return nil, engineError(fmt.Errorf("internal error, cached schedule failed to decode: %w", err))
-	}
-	return sch, nil
+	return out.sch, nil
 }
 
 // certifyResponse is the /v1/certify envelope.
@@ -573,7 +619,7 @@ func (s *Server) handleCertify(ctx context.Context, body []byte, _ string) (*out
 	if err := strictUnmarshal(body, &req); err != nil {
 		return nil, "", badRequest("certify: %v", err)
 	}
-	p, err := req.decodeProblem()
+	p, err := s.problemFor(&req.ScheduleRequest)
 	if err != nil {
 		return nil, "", badRequest("certify: %v", err)
 	}
@@ -617,11 +663,11 @@ func (s *Server) handleCertify(ctx context.Context, body []byte, _ string) (*out
 		if err != nil {
 			return nil, err
 		}
-		env, err := json.MarshalIndent(certifyResponse{Hash: key, Verdict: v}, "", "  ")
+		env, err := renderEnvelope(certifyResponse{Hash: key, Verdict: v})
 		if err != nil {
 			return nil, err
 		}
-		return &outcome{envelope: append(env, '\n')}, nil
+		return &outcome{envelope: env}, nil
 	})
 }
 
@@ -638,7 +684,7 @@ func (s *Server) handleSimulate(ctx context.Context, body []byte, _ string) (*ou
 	if err := strictUnmarshal(body, &req); err != nil {
 		return nil, "", badRequest("simulate: %v", err)
 	}
-	p, err := req.decodeProblem()
+	p, err := s.problemFor(&req.ScheduleRequest)
 	if err != nil {
 		return nil, "", badRequest("simulate: %v", err)
 	}
@@ -688,10 +734,10 @@ func (s *Server) handleSimulate(ctx context.Context, body []byte, _ string) (*ou
 		if err != nil {
 			return nil, err
 		}
-		env, err := json.MarshalIndent(simulateResponse{Hash: key, Result: res}, "", "  ")
+		env, err := renderEnvelope(simulateResponse{Hash: key, Result: res})
 		if err != nil {
 			return nil, err
 		}
-		return &outcome{envelope: append(env, '\n')}, nil
+		return &outcome{envelope: env}, nil
 	})
 }

@@ -351,35 +351,52 @@ func TestHealthzAndDrain(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics re-exports the serve counters in Prometheus
-// text format.
+// text format, problem interning included.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	scrape := func(wants ...string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		for _, want := range wants {
+			if !strings.Contains(text, want+"\n") {
+				t.Errorf("metrics output lacks %q:\n%s", want, text)
+			}
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("metrics content type = %q", ct)
+		}
+	}
 	if resp, out := post(t, ts.URL+"/v1/schedule", busRequestJSON(t, nil)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("schedule: %d %s", resp.StatusCode, out)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
+	scrape(
 		"# TYPE ftsched_serve_requests counter",
 		"ftsched_serve_requests 1",
 		"ftsched_serve_engine_schedule 1",
 		"ftsched_serve_cache_misses 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics output lacks %q:\n%s", want, text)
-		}
+		"# TYPE ftsched_serve_problems_hits counter",
+		"ftsched_serve_problems_hits 0",
+		"ftsched_serve_problems_misses 1",
+	)
+	// A certify of the same problem reuses its decoded form and schedule.
+	if resp, out := post(t, ts.URL+"/v1/certify", busRequestJSON(t, nil)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("certify: %d %s", resp.StatusCode, out)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("metrics content type = %q", ct)
-	}
+	scrape(
+		"ftsched_serve_requests 2",
+		"ftsched_serve_engine_schedule 1",
+		"ftsched_serve_problems_hits 1",
+		"ftsched_serve_problems_misses 1",
+	)
 }
 
 // TestBodyTooLarge: oversized bodies are rejected with 413.

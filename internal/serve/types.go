@@ -109,16 +109,29 @@ type BatchResponse struct {
 	Responses []BatchItem `json:"responses"`
 }
 
-// problem is a decoded, validated scheduling problem.
-type problem struct {
+// models is the decoded half of a problem that requests share: the
+// graph, arch, and spec with arch.Precompute already called, so the engines
+// only read them and one value serves concurrent requests. The server
+// interns models by the raw bytes of their documents (internKey).
+type models struct {
 	g  *graph.Graph
 	a  *arch.Architecture
 	sp *spec.Spec
-	h  core.Heuristic
+	// digest is the problemDigest of g, a, and sp: the problem's member of
+	// the canonical envelope.
+	digest string
 }
 
-// decodeProblem validates and decodes the request's problem half.
-func (r *ScheduleRequest) decodeProblem() (*problem, error) {
+// problem is a decoded, validated scheduling problem: the shared models
+// plus the request's own heuristic.
+type problem struct {
+	*models
+	h core.Heuristic
+}
+
+// heuristic validates the request's option half and resolves its
+// heuristic.
+func (r *ScheduleRequest) heuristic() (core.Heuristic, error) {
 	var h core.Heuristic
 	switch r.Heuristic {
 	case "basic":
@@ -128,28 +141,53 @@ func (r *ScheduleRequest) decodeProblem() (*problem, error) {
 	case "ft2":
 		h = core.FT2
 	default:
-		return nil, fmt.Errorf("unknown heuristic %q (want basic, ft1, or ft2)", r.Heuristic)
+		return h, fmt.Errorf("unknown heuristic %q (want basic, ft1, or ft2)", r.Heuristic)
 	}
 	if r.K < 0 {
-		return nil, fmt.Errorf("negative k (%d)", r.K)
+		return h, fmt.Errorf("negative k (%d)", r.K)
 	}
 	if r.Seeds < 0 {
-		return nil, fmt.Errorf("negative seeds (%d)", r.Seeds)
+		return h, fmt.Errorf("negative seeds (%d)", r.Seeds)
 	}
 	if len(r.Graph) == 0 || len(r.Arch) == 0 || len(r.Spec) == 0 {
-		return nil, fmt.Errorf("graph, arch, and spec are all required")
+		return h, fmt.Errorf("graph, arch, and spec are all required")
 	}
-	p := &problem{g: new(graph.Graph), a: new(arch.Architecture), sp: spec.New(), h: h}
-	if err := p.g.UnmarshalJSON(r.Graph); err != nil {
+	return h, nil
+}
+
+// decodeProblem validates and decodes the request's problem half, without
+// interning (the server goes through Server.problemFor).
+func (r *ScheduleRequest) decodeProblem() (*problem, error) {
+	h, err := r.heuristic()
+	if err != nil {
 		return nil, err
 	}
-	if err := p.a.UnmarshalJSON(r.Arch); err != nil {
+	m, err := r.decodeModels()
+	if err != nil {
 		return nil, err
 	}
-	if err := p.sp.UnmarshalJSON(r.Spec); err != nil {
+	return &problem{models: m, h: h}, nil
+}
+
+// decodeModels decodes the graph, arch, and spec documents, precomputes the
+// architecture's lookup tables, and digests the canonical encodings.
+func (r *ScheduleRequest) decodeModels() (*models, error) {
+	m := &models{g: new(graph.Graph), a: new(arch.Architecture), sp: spec.New()}
+	if err := m.g.UnmarshalJSON(r.Graph); err != nil {
 		return nil, err
 	}
-	return p, nil
+	if err := m.a.UnmarshalJSON(r.Arch); err != nil {
+		return nil, err
+	}
+	if err := m.sp.UnmarshalJSON(r.Spec); err != nil {
+		return nil, err
+	}
+	m.a.Precompute()
+	var err error
+	if m.digest, err = problemDigest(m.g, m.a, m.sp); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // scenario converts the wire failure list into the simulator's model.
